@@ -167,3 +167,33 @@ func BenchmarkRelabelFilter(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkLocalPreprocess times LOCALPREPROCESSING (§IV-A) on one PE's
+// share of the benchmark's RGG2D instance (n=2^15, m=2^19, p=16): rank 5's
+// sorted slice, replayed on a 1-PE world with the paper series settings
+// (local filter, hash dedup, parallel-edge dedup). One warm-up call puts
+// the arena in steady state.
+func BenchmarkLocalPreprocess(b *testing.B) {
+	const p, rank = 16, 5
+	var share []graph.Edge
+	comm.NewWorld(p).Run(func(c *comm.Comm) {
+		edges, _ := gen.Build(c, gen.Spec{Family: gen.RGG2D, N: 1 << 15, M: 1 << 19, Seed: 1}, dsort.Options{})
+		if c.Rank() == rank {
+			share = edges
+		}
+	})
+	opt := Options{LocalPreprocessing: true, LocalFilter: true, HashDedup: true, DedupParallel: true}.withDefaults()
+	w := comm.NewWorld(1)
+	w.Run(func(c *comm.Comm) {
+		l := graph.BuildLayout(c, share)
+		pool := par.NewPool(1)
+		var mst []graph.Edge
+		localPreprocess(c, share, l, pool, opt, &mst, nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			mst = mst[:0]
+			localPreprocess(c, share, l, pool, opt, &mst, nil)
+		}
+	})
+}

@@ -25,12 +25,8 @@ import (
 func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 	pool *par.Pool, opt Options, mst *[]graph.Edge, rec *distArray) ([]graph.Edge, *graph.Layout) {
 
-	isLocal := func(v graph.VID) bool {
-		// A vertex is contractible here iff its whole neighborhood is on
-		// this PE: it appears as a source here and is not shared.
-		first, last := l.SharedSpan(v)
-		return first == last && first == c.Rank()
-	}
+	lo, end := localRange(edges, l, c.Rank())
+	isLocal := func(v graph.VID) bool { return lo <= v && v < end }
 	// Quick check: count local edges (both endpoints contractible).
 	localCnt := 0
 	for _, e := range edges {
@@ -104,4 +100,26 @@ func localPreprocess(c *comm.Comm, edges []graph.Edge, l *graph.Layout,
 // per job, outside the steady-state rounds).
 func localSortEdges(edges []graph.Edge) {
 	radix.Sort(edges, graph.KeyLex, graph.LessLex)
+}
+
+// localRange returns the vertices [lo, end) that are contractible on PE
+// rank, whose sorted local edges are edges: those whose whole neighborhood
+// is here, i.e. that appear as a source here and are not shared. Sources
+// are sorted and the edge sequence is symmetric, so every vertex strictly
+// between the first and the last source has its whole edge range here; the
+// first and the last source count unless a neighbour PE shares them. That
+// takes two SharedSpan calls per job and none per endpoint. An empty PE
+// gets an empty range.
+func localRange(edges []graph.Edge, l *graph.Layout, rank int) (lo, end graph.VID) {
+	if len(edges) == 0 {
+		return 0, 0
+	}
+	lo, end = edges[0].U, edges[len(edges)-1].U+1
+	if first, last := l.SharedSpan(lo); first != rank || last != rank {
+		lo++
+	}
+	if first, last := l.SharedSpan(end - 1); first != rank || last != rank {
+		end--
+	}
+	return lo, end
 }

@@ -85,12 +85,13 @@ func (s *Server) runBatch(pm *poolMachine, jobs []*Job) error {
 	sec := time.Since(start).Seconds()
 	s.sm.observeRun(sec)
 	s.shed.observe(pm.shape.PEs, sec)
+	now := time.Now()
 	if err != nil {
 		for _, j := range jobs {
 			// A member whose own context expired or was cancelled reports
 			// that; the rest carry the batch error into the retry policy,
 			// where they re-dispatch individually (and may batch again).
-			if jerr := j.ctx.Err(); jerr != nil {
+			if jerr := j.expired(now); jerr != nil {
 				s.finishJob(j, nil, jerr)
 			} else {
 				s.maybeRetry(j, nil, err)
@@ -99,7 +100,7 @@ func (s *Server) runBatch(pm *poolMachine, jobs []*Job) error {
 		return err
 	}
 	for i, j := range jobs {
-		if jerr := j.ctx.Err(); jerr != nil {
+		if jerr := j.expired(now); jerr != nil {
 			// The batch outlived this member's deadline (the shared run
 			// serves the latest one): the result exists but arrived too
 			// late for this member's contract.

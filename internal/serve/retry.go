@@ -111,7 +111,7 @@ func (s *Server) retryBudget(tenant string) *tokenBucket {
 // counter was bumped only at admission.
 func (s *Server) maybeRetry(j *Job, rep *kamsta.Report, err error) {
 	var je *kamsta.JobError
-	if err == nil || s.cfg.Retry.MaxAttempts <= 1 || !errors.As(err, &je) || j.ctx.Err() != nil {
+	if err == nil || s.cfg.Retry.MaxAttempts <= 1 || !errors.As(err, &je) || j.expired(time.Now()) != nil {
 		s.finishJob(j, rep, err)
 		return
 	}
@@ -157,7 +157,7 @@ func (s *Server) redispatch(id uint64) {
 	if pr == nil {
 		return // flushed by drainRetries
 	}
-	if pr.j.ctx.Err() != nil || s.shed.live(pr.j.req.PEs) == 0 {
+	if pr.j.expired(time.Now()) != nil || s.shed.live(pr.j.req.PEs) == 0 {
 		// The deadline burned out during the backoff, or quarantine took
 		// the last machine that could serve it: report the original fault
 		// rather than queue a job nothing will run.

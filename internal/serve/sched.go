@@ -60,7 +60,10 @@ type tenant struct {
 // with the smallest stride pass — weighted fairness without starvation —
 // and greedily attaches batch-compatible small jobs.
 type scheduler struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// cond wakes waiting workers. Workers wait for different shapes, so a
+	// new job is announced with Broadcast: Signal could wake only a worker
+	// that cannot serve it and strand the job in the queue.
 	cond *sync.Cond
 
 	tenants map[string]*tenant
@@ -128,7 +131,7 @@ func (s *scheduler) submit(j *Job) error {
 	j.ten = t
 	t.q = append(t.q, j)
 	s.queued++
-	s.cond.Signal()
+	s.cond.Broadcast()
 	return nil
 }
 
@@ -155,7 +158,7 @@ func (s *scheduler) resubmit(j *Job) error {
 	}
 	j.ten.q = append(j.ten.q, j)
 	s.queued++
-	s.cond.Signal()
+	s.cond.Broadcast()
 	return nil
 }
 

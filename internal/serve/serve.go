@@ -242,20 +242,18 @@ func (j *Job) Status() string {
 // for the surviving members and the cancelled one is dropped at the end).
 func (j *Job) Cancel() { j.cancel() }
 
-// finish records the result exactly once.
-func (j *Job) finish(rep *kamsta.Report, err error) bool {
-	first := false
-	j.once.Do(func() {
-		j.rep, j.err = rep, err
-		j.finished.Store(time.Now().UnixNano())
-		close(j.done)
-		j.cancel()
-		if j.unwatch != nil {
-			j.unwatch()
-		}
-		first = true
-	})
-	return first
+// expired reports why j may no longer run at now: its context's error, or
+// context.DeadlineExceeded once now has reached its deadline. The deadline
+// is compared against the clock because ctx.Err turns non-nil only when the
+// runtime timer fires, which can be after now.
+func (j *Job) expired(now time.Time) error {
+	if err := j.ctx.Err(); err != nil {
+		return err
+	}
+	if d, ok := j.ctx.Deadline(); ok && !now.Before(d) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 // poolMachine is one warm machine plus its shape and health state.
@@ -581,7 +579,7 @@ func (s *Server) dispatch(pm *poolMachine, jobs []*Job) {
 	for _, j := range jobs {
 		j.started.Store(now.UnixNano())
 		s.sm.observeWait(now.Sub(j.submitted).Seconds())
-		if err := j.ctx.Err(); err != nil {
+		if err := j.expired(now); err != nil {
 			s.finishJob(j, nil, err)
 			continue
 		}
@@ -670,15 +668,23 @@ func (s *Server) runOptions(req Request) []kamsta.RunOption {
 	return append(opts, req.Options...)
 }
 
-// finishJob delivers a result exactly once and accounts the outcome.
+// finishJob delivers a result exactly once. The outcome is accounted before
+// the result is published, so a caller returning from Wait already sees its
+// job in Stats and in the metrics.
 func (s *Server) finishJob(j *Job, rep *kamsta.Report, err error) {
-	if !j.finish(rep, err) {
-		return
-	}
-	if j.ten != nil {
-		j.ten.completed.Add(1)
-	}
-	s.sm.completed(j.tenant, outcomeOf(err))
+	j.once.Do(func() {
+		j.rep, j.err = rep, err
+		j.finished.Store(time.Now().UnixNano())
+		if j.ten != nil {
+			j.ten.completed.Add(1)
+		}
+		s.sm.completed(j.tenant, outcomeOf(err))
+		close(j.done)
+		j.cancel()
+		if j.unwatch != nil {
+			j.unwatch()
+		}
+	})
 }
 
 // Job returns an admitted job by id (the HTTP poll path).
